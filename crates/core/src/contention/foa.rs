@@ -42,19 +42,21 @@ pub struct FoaModel;
 
 impl ContentionModel for FoaModel {
     fn extra_misses(&self, windows: &[Sdc], assoc: u32) -> Vec<f64> {
-        let total: f64 = windows.iter().map(Sdc::accesses).sum();
-        windows
-            .iter()
-            .map(|sdc| {
-                let acc = sdc.accesses();
-                if acc <= 0.0 || total <= 0.0 {
-                    return 0.0;
-                }
-                let share = acc / total;
-                let a_eff = f64::from(assoc) * share;
-                (sdc.misses_at(a_eff) - sdc.misses()).max(0.0)
-            })
-            .collect()
+        // Each program's access count is summed once and reused for the
+        // total, its share and `acc − hits_at(a)`, which is exactly what
+        // `Sdc::misses_at(a)` evaluates.
+        let mut extra: Vec<f64> = windows.iter().map(Sdc::accesses).collect();
+        let total: f64 = extra.iter().sum();
+        for (e, sdc) in extra.iter_mut().zip(windows) {
+            let acc = *e;
+            *e = if acc <= 0.0 || total <= 0.0 {
+                0.0
+            } else {
+                let a_eff = f64::from(assoc) * (acc / total);
+                (acc - sdc.hits_at(a_eff) - sdc.misses()).max(0.0)
+            };
+        }
+        extra
     }
 
     fn name(&self) -> &'static str {

@@ -108,26 +108,40 @@ impl Mix {
     }
 }
 
-/// Binomial coefficient `C(a, b)` with checked arithmetic.
+/// Binomial coefficient `C(a, b)` with checked arithmetic, in
+/// `O(min(b, a−b))` steps and no allocation.
 ///
-/// Computed by Pascal's rule, so every intermediate value is itself a
-/// binomial coefficient bounded by the result — `None` is returned exactly
-/// when the true value overflows `u128`, not when some multiplicative
-/// intermediate does.
+/// Steps through `C(a−b+k, k)` for `k = 1..=b`; each is no larger than the
+/// result, and [`scale`] returns `None` only when the step's true value
+/// overflows. So `None` is returned exactly when `C(a, b)` does not fit in
+/// a `u128`, not when some product along the way does.
 fn binomial(a: usize, b: usize) -> Option<u128> {
     if b > a {
         return Some(0);
     }
     let b = b.min(a - b);
-    // row[j] = C(i, j) after processing row i.
-    let mut row = vec![0u128; b + 1];
-    row[0] = 1;
-    for i in 1..=a {
-        for j in (1..=b.min(i)).rev() {
-            row[j] = row[j].checked_add(row[j - 1])?;
-        }
+    let top = (a - b) as u128;
+    (1..=b as u128).try_fold(1u128, |c, k| scale(c, top + k, k))
+}
+
+/// `c·x / y` for a quotient known to be an integer, or `None` if the
+/// quotient overflows `u128`. When the product itself would overflow the
+/// factors are first reduced by `g = gcd(c, y)`: `y/g` then divides `x`
+/// (it is coprime to `c/g` and divides `(c/g)·x`), so the remaining
+/// product is the quotient itself.
+fn scale(c: u128, x: u128, y: u128) -> Option<u128> {
+    if let Some(p) = c.checked_mul(x) {
+        return Some(p / y);
     }
-    Some(row[b])
+    let g = gcd(c, y);
+    (c / g).checked_mul(x / (y / g))
+}
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Exact number of distinct `m`-program mixes over `n` benchmarks:
@@ -177,10 +191,18 @@ pub fn mix_rank(mix: &Mix, n: usize) -> Result<u128, MixSpaceError> {
     for (i, &member) in mix.members().iter().enumerate() {
         assert!(member < n, "mix member {member} out of range for {n} benchmarks");
         let remaining = m - 1 - i;
-        for v in lo..member {
-            // Completions: `remaining` non-decreasing slots over [v, n).
-            let c = count_mixes(n - v, remaining)?;
-            rank = rank.checked_add(c).ok_or_else(overflow)?;
+        if lo < member {
+            // Completions of `remaining` slots over [v, n): C(a, remaining)
+            // with a = n−v+remaining−1, counted once at v = lo (the largest
+            // count, so the only one that can overflow) and stepped down
+            // for each later v.
+            let mut c = count_mixes(n - lo, remaining)?;
+            let mut a = (n - lo + remaining - 1) as u128;
+            for _ in lo..member {
+                rank = rank.checked_add(c).ok_or_else(overflow)?;
+                c = scale(c, a - remaining as u128, a).expect("a smaller count fits");
+                a -= 1;
+            }
         }
         lo = member;
     }
@@ -189,6 +211,9 @@ pub fn mix_rank(mix: &Mix, n: usize) -> Result<u128, MixSpaceError> {
 
 /// Inverse of [`mix_rank`]: the `rank`-th mix (0-based) in the
 /// lexicographic enumeration of `m`-program mixes over `n` benchmarks.
+///
+/// Walks the counts incrementally from the space's size: `O(n + m)`
+/// exact multiply-divides, no allocation beyond the returned mix.
 ///
 /// # Errors
 ///
@@ -209,20 +234,30 @@ pub fn unrank_mix(n: usize, m: usize, rank: u128) -> Result<Mix, MixSpaceError> 
     if rank >= total {
         return Err(MixSpaceError::RankOutOfRange { rank, total });
     }
+    // `c` counts the completions of the `r` slots after the current one
+    // once it holds benchmark `v`: C(a, r) with a = n−v+r−1. Every count
+    // is at most `total`, so no step overflows.
     let mut rank = rank;
     let mut members = Vec::with_capacity(m);
-    let mut lo = 0usize;
-    for i in 0..m {
-        let remaining = m - 1 - i;
-        for v in lo..n {
-            let c = count_mixes(n - v, remaining)?;
-            if rank < c {
-                members.push(v);
-                lo = v;
+    let (mut v, mut r) = (0usize, m - 1);
+    let mut a = (n + m - 2) as u128;
+    let mut c = scale(total, m as u128, a + 1).expect("a smaller count fits");
+    loop {
+        if rank < c {
+            members.push(v);
+            if r == 0 {
                 break;
             }
+            // One slot fewer, same benchmark: C(a−1, r−1) = C(a, r)·r/a.
+            c = scale(c, r as u128, a).expect("a smaller count fits");
+            r -= 1;
+        } else {
             rank -= c;
+            // Same slots, next benchmark: C(a−1, r) = C(a, r)·(a−r)/a.
+            c = scale(c, a - r as u128, a).expect("a smaller count fits");
+            v += 1;
         }
+        a -= 1;
     }
     debug_assert_eq!(members.len(), m, "rank was within the space");
     Ok(Mix { members })
@@ -312,7 +347,7 @@ pub fn enumerate_mixes(n: usize, m: usize) -> EnumerateMixes {
 /// Enumerates mixes lexicographically starting *at* `start` (inclusive).
 ///
 /// Combined with [`unrank_mix`] this gives cheap range iteration over a
-/// huge mix space: unrank the range's first rank once (O(n·m) binomial
+/// huge mix space: unrank the range's first rank once (O(n + m) count
 /// work), then advance in O(m) per mix — the campaign executor walks
 /// 30M-mix shard ranges this way without ever materializing the space.
 ///
@@ -490,6 +525,58 @@ mod tests {
         assert_eq!(count_mixes(1000, 500), Err(MixSpaceError::Overflow { n: 1000, m: 500 }));
     }
 
+    /// `C(a, b)` by Pascal's rule over one row: every intermediate is a
+    /// binomial no larger than the result, so `None` means exactly that
+    /// the result overflows `u128`. The oracle for [`binomial`].
+    fn pascal_binomial(a: usize, b: usize) -> Option<u128> {
+        if b > a {
+            return Some(0);
+        }
+        let b = b.min(a - b);
+        let mut row = vec![0u128; b + 1];
+        row[0] = 1;
+        for i in 1..=a {
+            for j in (1..=b.min(i)).rev() {
+                row[j] = row[j].checked_add(row[j - 1])?;
+            }
+        }
+        Some(row[b])
+    }
+
+    #[test]
+    fn binomial_matches_pascal_up_to_the_u128_limit() {
+        // Every row up to 140 crosses the u128 limit (C(132, 66) is the
+        // first overflow), so both the exact values and the exact overflow
+        // frontier are compared.
+        for a in 0..=140 {
+            for b in 0..=a + 1 {
+                assert_eq!(binomial(a, b), pascal_binomial(a, b), "C({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn rank_overflow_errors_are_unchanged() {
+        // An all-zeros mix needs no counts, so it ranks even in a space
+        // too large to count.
+        assert_eq!(mix_rank(&Mix::new(vec![0; 500]), 1000), Ok(0));
+        // The first count a rank needs names its own sub-space.
+        let mut members = vec![1; 500];
+        members[0] = 0;
+        assert_eq!(
+            mix_rank(&Mix::new(members), 1000),
+            Err(MixSpaceError::Overflow { n: 1000, m: 498 })
+        );
+        // Unranking counts the whole space first.
+        assert_eq!(unrank_mix(1000, 500, 0), Err(MixSpaceError::Overflow { n: 1000, m: 500 }));
+        // Near the limit every intermediate still fits: the last mix of
+        // C(130, 65) round-trips.
+        let total = count_mixes(66, 65).unwrap();
+        let last = unrank_mix(66, 65, total - 1).unwrap();
+        assert_eq!(last.members(), &[65; 65]);
+        assert_eq!(mix_rank(&last, 66), Ok(total - 1));
+    }
+
     #[test]
     fn rank_round_trips_exhaustively() {
         for (n, m) in [(3, 2), (4, 3), (2, 4), (5, 1), (6, 2)] {
@@ -529,6 +616,33 @@ mod tests {
         // Stratification implies enumeration order.
         let ranks: Vec<u128> = sa.iter().map(|m| mix_rank(m, 29).unwrap()).collect();
         assert!(ranks.windows(2).all(|w| w[0] < w[1]), "strata are disjoint and ordered");
+    }
+
+    /// FNV-1a over every member of every mix, in order.
+    fn digest(mixes: &[Mix]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in mixes.iter().flat_map(|m| m.members()).flat_map(|v| (*v as u64).to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn stratified_samples_are_pinned_for_fixed_seeds() {
+        // Digests of the samples as first drawn, so a change to counting
+        // or unranking cannot silently move a seeded campaign's mixes.
+        // (66, 65) sits just below the u128 limit of the space size.
+        for (n, m, count, seed, want) in [
+            (29, 8, 4000, 7, 0x2f59_fcb7_d16d_14b4_u64),
+            (29, 4, 500, 11, 0x3083_dfb1_64cb_1dbc),
+            (29, 2, 435, 3, 0xb77a_54c2_dfce_60a5),
+            (13, 5, 97, 42, 0x5dc6_9583_41c6_aa89),
+            (66, 65, 9, 1, 0x81cd_3032_318b_93a0),
+        ] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let sample = sample_stratified(n, m, count, &mut rng).unwrap();
+            assert_eq!(digest(&sample), want, "n={n} m={m} count={count} seed={seed}");
+        }
     }
 
     #[test]

@@ -115,13 +115,37 @@ impl MppmConfig {
 
 /// Reusable per-worker scratch for [`Mppm::predict_observed_with`].
 ///
-/// Holds the solver's per-program working vectors — slowdown estimates,
-/// trace positions, window SDCs, queueing terms — so a worker that
-/// evaluates many mixes back to back (a campaign shard, the `mppmd`
-/// request loop) resets them in place instead of reallocating each call.
-/// Mixes of different core counts or LLC associativities can share one
-/// scratch: every field is sized to the current mix on entry, and the
-/// bit-exactness oracle pins reuse to fresh-allocation results.
+/// Holds the solver's per-mix interval table and per-program state, so a
+/// worker that evaluates many mixes back to back (a campaign shard, the
+/// `mppmd` request loop) resets them in place instead of reallocating
+/// each call. Mixes of different core counts or LLC associativities can
+/// share one scratch: every field is sized to the current mix on entry,
+/// and the bit-exactness oracles pin reuse to fresh-allocation results.
+///
+/// **Walk layout.** Each program-step walks every program's window
+/// interval by interval three times: the isolated cycles of the next `L`
+/// instructions, the instructions that fit in the shared `C` cycles, and
+/// one fold that sums the window's SDC, memory stall and fallback-penalty
+/// weights together. Each piece of a walk waits on the previous one
+/// through a chain of float divisions, so a program walked alone is
+/// latency-bound. All programs therefore walk in lockstep: each round
+/// moves every unfinished program one piece, so the programs' independent
+/// chains overlap. The interval CPIs (`cycles / insns`) are tabulated
+/// once per mix, program after program.
+///
+/// **Bit-exactness.** For each program, every sum a walk keeps (cycles,
+/// instructions, each SDC counter, stall, fallback weights) receives
+/// exactly the float operations, in exactly the order, that
+/// [`SingleCoreProfile::cycles_in`],
+/// [`SingleCoreProfile::insns_for_cycles`], [`SingleCoreProfile::sdc_in`],
+/// [`SingleCoreProfile::mem_stall_in`] and
+/// [`SingleCoreProfile::miss_penalty_in`] apply: the pieces are cut by the
+/// same expressions, and the table holds the same `cycles / insns`
+/// quotients. Fusing the fold only interleaves sums that never read each
+/// other, and lockstep only interleaves programs, which share no float
+/// state inside a walk. The step length `C` is still a program-order
+/// `max` fold. `Mppm::reference_predict_observed`, which calls those
+/// methods directly, is the differential oracle.
 ///
 /// Not everything is pooled: the contention model's
 /// [`ContentionModel::extra_misses`] returns a fresh `Vec` per step, the
@@ -130,11 +154,11 @@ impl MppmConfig {
 /// output, not the steady state.
 #[derive(Debug, Default)]
 pub struct SolverScratch {
+    /// Isolated CPI of every interval of every program, program after
+    /// program; `Lane::base` indexes a program's first interval.
+    cpi: Vec<f64>,
+    lanes: Vec<Lane>,
     slowdown: Vec<f64>,
-    position: Vec<f64>,
-    executed: Vec<f64>,
-    targets: Vec<f64>,
-    advance: Vec<f64>,
     windows: Vec<mppm_cache::Sdc>,
     queue_cycles: Vec<f64>,
     traffic: Vec<f64>,
@@ -145,6 +169,83 @@ impl SolverScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// One program's solver state: its trace geometry, its progress, the
+/// window it takes this step, and the cursor of the walk in flight.
+#[derive(Debug, Default)]
+struct Lane {
+    /// Index of the program's first interval in [`SolverScratch::cpi`].
+    base: usize,
+    /// Index of the program's last interval.
+    last: usize,
+    /// Instructions per interval and per trace pass.
+    interval: f64,
+    total: f64,
+    /// Trace position at the start of the step, instructions executed so
+    /// far, and the instructions after which the program is done.
+    position: f64,
+    executed: f64,
+    target: f64,
+    /// Instructions the program executes this step.
+    advance: f64,
+    /// Walk cursor: position in the trace and what is left to walk.
+    pos: f64,
+    remaining: f64,
+    /// The walk's sums: cycles, instructions or memory stall, then (window
+    /// fold only) the instruction-weighted fallback penalty and its weight.
+    sum: f64,
+    weighted: f64,
+    weight: f64,
+}
+
+impl Lane {
+    /// Starts a walk of `len` (instructions or cycles) at the program's
+    /// trace position.
+    fn start(&mut self, len: f64) {
+        assert!(len >= 0.0 && self.position >= 0.0, "window must be non-negative");
+        self.pos = self.position % self.total;
+        self.remaining = len;
+        self.sum = 0.0;
+        self.weighted = 0.0;
+        self.weight = 0.0;
+    }
+
+    /// Moves the cursor `insns` forward, wrapping at the trace end.
+    fn step(&mut self, insns: f64) {
+        self.pos += insns;
+        if self.pos >= self.total - 1e-9 {
+            self.pos = 0.0;
+        }
+    }
+
+    /// Takes the next piece of an instruction window, `to_end` being the
+    /// instructions left in the interval under the cursor; returns the
+    /// piece's length.
+    fn take(&mut self, to_end: f64) -> f64 {
+        let take = self.remaining.min(to_end).max(1e-12);
+        self.remaining -= take;
+        self.step(take);
+        take
+    }
+}
+
+/// Walks every lane's window piece by piece, one piece per live lane per
+/// round, until every walk is done. `piece(p, lane, idx, to_end)`
+/// consumes one piece of lane `p` in interval `idx`, `to_end` instructions
+/// before the interval ends.
+fn lockstep(lanes: &mut [Lane], mut piece: impl FnMut(usize, &mut Lane, usize, f64)) {
+    let mut live = true;
+    while live {
+        live = false;
+        // The tolerance guards against float drift at interval edges.
+        for (p, lane) in lanes.iter_mut().enumerate().filter(|(_, l)| l.remaining > 1e-9) {
+            let idx = ((lane.pos / lane.interval) as usize).min(lane.last);
+            let to_end = (idx as f64 + 1.0) * lane.interval - lane.pos;
+            piece(p, lane, idx, to_end);
+            live = true;
+        }
     }
 }
 
@@ -219,15 +320,14 @@ impl<M: ContentionModel> Mppm<M> {
     }
 
     /// [`Mppm::predict_observed`] over caller-owned [`SolverScratch`]:
-    /// the per-step working vectors (slowdowns, positions, window SDCs,
-    /// queueing terms) are reset in place instead of reallocated, so a
-    /// worker evaluating many mixes (a campaign shard, the `mppmd`
-    /// request loop) pays the solver's transient allocations once per
-    /// worker rather than once per step. Bit-identical to
-    /// `predict_observed` — which delegates here with a fresh scratch —
-    /// including the window-SDC reuse in the miss-penalty estimate
-    /// ([`SingleCoreProfile::miss_penalty_with`] receives exactly the
-    /// SDC `miss_penalty_in` would recompute).
+    /// the interval table and per-program state (slowdowns, positions,
+    /// window SDCs, queueing terms) are reset in place instead of
+    /// reallocated, so a worker evaluating many mixes (a campaign shard,
+    /// the `mppmd` request loop) pays the solver's transient allocations
+    /// once per worker rather than once per step. Bit-identical to
+    /// `predict_observed`, which delegates here with a fresh scratch, and
+    /// to [`Mppm::reference_predict_observed`]; see [`SolverScratch`] for
+    /// the lockstep window walks and why they change no bit.
     ///
     /// # Errors
     ///
@@ -262,18 +362,22 @@ impl<M: ContentionModel> Mppm<M> {
             .unwrap_or_else(|| 10 * profiles.iter().map(|p| p.interval_insns()).min().expect("non-empty"));
         let step = step as f64;
 
-        let SolverScratch { slowdown, position, executed, targets, advance, windows, queue_cycles, traffic } =
-            scratch;
+        let SolverScratch { cpi, lanes, slowdown, windows, queue_cycles, traffic } = scratch;
+        cpi.clear();
+        lanes.clear();
+        for p in profiles {
+            lanes.push(Lane {
+                base: cpi.len(),
+                last: p.intervals.len() - 1,
+                interval: p.interval_insns() as f64,
+                total: p.trace_insns() as f64,
+                target: self.config.target_passes * p.trace_insns() as f64,
+                ..Lane::default()
+            });
+            cpi.extend(p.intervals.iter().map(|iv| iv.cpi()));
+        }
         slowdown.clear();
         slowdown.resize(n, 1.0);
-        position.clear();
-        position.resize(n, 0.0);
-        executed.clear();
-        executed.resize(n, 0.0);
-        targets.clear();
-        targets.extend(
-            profiles.iter().map(|p| self.config.target_passes * p.trace_insns() as f64),
-        );
         windows.truncate(n);
         windows.resize_with(n, || mppm_cache::Sdc::new(assoc));
         let mut history: Vec<Vec<f64>> = vec![slowdown.clone()];
@@ -281,36 +385,59 @@ impl<M: ContentionModel> Mppm<M> {
         let mut converged = false;
 
         while steps < self.config.max_steps {
-            if executed.iter().zip(&*targets).all(|(e, t)| e >= t) {
+            if lanes.iter().all(|l| l.executed >= l.target) {
                 converged = true;
                 break;
             }
             steps += 1;
 
-            // Cycles for the slowest program to execute the next L insns.
-            let c = profiles
+            // Cycles for the slowest program to execute the next L insns
+            // (`SingleCoreProfile::cycles_in`).
+            for lane in lanes.iter_mut() {
+                lane.start(step);
+            }
+            lockstep(lanes, |_, lane, idx, to_end| {
+                let take = lane.take(to_end);
+                lane.sum += take * cpi[lane.base + idx];
+            });
+            let c = lanes
                 .iter()
-                .zip(&*position)
                 .zip(&*slowdown)
-                .map(|((p, &pos), &r)| p.cycles_in(pos, step) * r)
+                .map(|(l, &r)| l.sum * r)
                 .fold(0.0_f64, f64::max);
             debug_assert!(c > 0.0, "interval cycles must be positive");
 
-            // Progress each program makes in those C cycles.
-            advance.clear();
-            advance.extend(
-                profiles
-                    .iter()
-                    .zip(&*position)
-                    .zip(&*slowdown)
-                    .map(|((p, &pos), &r)| p.insns_for_cycles(pos, c / r)),
-            );
-
-            // Window SDCs feed the cache contention model; the pooled
-            // SDCs are reset and refilled in place.
-            for p in 0..n {
-                profiles[p].sdc_in_into(position[p], advance[p], &mut windows[p]);
+            // Progress each program makes in those C cycles
+            // (`SingleCoreProfile::insns_for_cycles`).
+            for (lane, &r) in lanes.iter_mut().zip(&*slowdown) {
+                lane.start(c / r);
             }
+            lockstep(lanes, |_, lane, idx, to_end| {
+                let cpi = cpi[lane.base + idx];
+                let fit = (lane.remaining / cpi).min(to_end).max(1e-12);
+                lane.sum += fit;
+                lane.remaining -= fit * cpi;
+                lane.step(fit);
+            });
+
+            // One fold over each window yields its SDC for the contention
+            // model (`sdc_in`), refilling the pooled SDCs in place, and its
+            // memory stall and fallback sums for the miss penalty
+            // (`miss_penalty_in`).
+            for (lane, window) in lanes.iter_mut().zip(&mut *windows) {
+                lane.advance = lane.sum;
+                lane.start(lane.advance);
+                window.reset(assoc);
+            }
+            lockstep(lanes, |p, lane, idx, to_end| {
+                let take = lane.take(to_end);
+                let iv = &profiles[p].intervals[idx];
+                let insns = iv.insns as f64;
+                windows[p].add_scaled(&iv.sdc, take / insns);
+                lane.sum += iv.mem_stall_cycles * take / insns;
+                lane.weighted += iv.fallback_penalty * take;
+                lane.weight += take;
+            });
             let extra = self.contention.extra_misses(windows, assoc);
 
             // Optional shared-bandwidth queueing (§8 extension): charge the
@@ -340,16 +467,18 @@ impl<M: ContentionModel> Mppm<M> {
                 }
             }
 
-            for p in 0..n {
-                // The window SDC is exactly `sdc_in(position, advance)`,
-                // so reusing it here skips one full window fold per
-                // program-step with bit-identical results.
-                let penalty = profiles[p].miss_penalty_with(
-                    &windows[p],
-                    position[p],
-                    advance[p],
-                    self.config.min_misses,
-                );
+            for (p, lane) in lanes.iter_mut().enumerate() {
+                // Average penalty of one LLC miss over the window: the
+                // paper's `CPI_mem × N / misses`, or the instruction-
+                // weighted fallback when the window saw too few misses.
+                let misses = windows[p].misses();
+                let penalty = if misses >= self.config.min_misses {
+                    lane.sum / misses
+                } else if lane.weight > 0.0 {
+                    lane.weighted / lane.weight
+                } else {
+                    0.0
+                };
                 // Queueing delay overlaps with other misses the same way
                 // the base latency does; penalty/mem_latency ≈ 1/MLP.
                 let overlap = penalty / f64::from(machine.mem_latency).max(1.0);
@@ -362,8 +491,8 @@ impl<M: ContentionModel> Mppm<M> {
                 };
                 let current = 1.0 + miss_cycles / denom;
                 slowdown[p] = self.config.ema * slowdown[p] + (1.0 - self.config.ema) * current;
-                position[p] = (position[p] + advance[p]) % profiles[p].trace_insns() as f64;
-                executed[p] += advance[p];
+                lane.position = (lane.position + lane.advance) % lane.total;
+                lane.executed += lane.advance;
             }
             history.push(slowdown.clone());
             if span.is_enabled() {
@@ -409,14 +538,16 @@ impl<M: ContentionModel> Mppm<M> {
 
     /// The allocate-per-step solver retained as the differential
     /// baseline for [`Mppm::predict_observed_with`]: every fixed-point
-    /// iteration collects fresh window SDCs and working vectors, and the
-    /// miss-penalty estimate refolds its window via
-    /// [`SingleCoreProfile::miss_penalty_in`] instead of reusing the
-    /// contention model's SDC. This is the cost profile the scratch-reuse
-    /// fast path replaced; the speed harness (`speed::arena_comparison`)
-    /// measures against it and asserts bit-identical predictions, and
-    /// `scratch_reuse_is_bit_exact_across_differing_mixes` pins the
-    /// equality in unit tests.
+    /// iteration collects fresh window SDCs and working vectors, and each
+    /// program's window is walked one program and one quantity at a time
+    /// through the profile's own [`SingleCoreProfile::cycles_in`],
+    /// [`SingleCoreProfile::insns_for_cycles`],
+    /// [`SingleCoreProfile::sdc_in`] and
+    /// [`SingleCoreProfile::miss_penalty_in`]. The speed harness
+    /// (`speed::arena_comparison`) measures against it and asserts
+    /// bit-identical predictions, and the solver oracles
+    /// (`scratch_reuse_is_bit_exact_across_differing_mixes`, the phased
+    /// proptest in `proptests.rs`) pin the equality.
     ///
     /// # Errors
     ///
